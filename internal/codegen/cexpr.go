@@ -56,7 +56,7 @@ func cAffine(a poly.Affine, vars []string, ceil bool) string {
 }
 
 // cLowerBound renders max(⌈L_1⌉, …) for a variable's lower bounds.
-func cLowerBound(vb poly.VarBounds, vars []string) string {
+func cLowerBound(vb *poly.VarBounds, vars []string) string {
 	parts := make([]string, len(vb.Lower))
 	for i, a := range vb.Lower {
 		parts[i] = cAffine(a, vars, true)
@@ -65,7 +65,7 @@ func cLowerBound(vb poly.VarBounds, vars []string) string {
 }
 
 // cUpperBound renders min(⌊U_1⌋, …) for a variable's upper bounds.
-func cUpperBound(vb poly.VarBounds, vars []string) string {
+func cUpperBound(vb *poly.VarBounds, vars []string) string {
 	parts := make([]string, len(vb.Upper))
 	for i, a := range vb.Upper {
 		parts[i] = cAffine(a, vars, false)

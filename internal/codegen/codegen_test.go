@@ -220,8 +220,8 @@ func TestReport(t *testing.T) {
 func TestCAffineRendering(t *testing.T) {
 	g := sorGen(t)
 	// Smoke: bounds of the innermost z variable must reference outer names.
-	lb := cLowerBound(g.nb.Vars[2*g.n-1], g.vars)
-	ub := cUpperBound(g.nb.Vars[2*g.n-1], g.vars)
+	lb := cLowerBound(&g.nb.Vars[2*g.n-1], g.vars)
+	ub := cUpperBound(&g.nb.Vars[2*g.n-1], g.vars)
 	if lb == "" || ub == "" {
 		t.Fatal("empty bound expressions")
 	}

@@ -280,7 +280,7 @@ func (g *Generator) tables(w *writer) {
 // tileVarBounds renders the (lower, upper) C expressions of permuted tile
 // variable position p.
 func (g *Generator) tileVarBounds(p int) (string, string) {
-	return cLowerBound(g.nb.Vars[p], g.vars), cUpperBound(g.nb.Vars[p], g.vars)
+	return cLowerBound(&g.nb.Vars[p], g.vars), cUpperBound(&g.nb.Vars[p], g.vars)
 }
 
 func (g *Generator) boundsHelpers(w *writer) {

@@ -31,8 +31,8 @@ func (g *Generator) emitZLoops(w *writer, arr, filter string, pragmas []string, 
 	w.line("long zv[NDIM], jp[NDIM];")
 	w.line("(void)zv;")
 	for k := 0; k < g.n; k++ {
-		lb := cLowerBound(g.nb.Vars[g.n+k], vars)
-		ub := cUpperBound(g.nb.Vars[g.n+k], vars)
+		lb := cLowerBound(&g.nb.Vars[g.n+k], vars)
+		ub := cUpperBound(&g.nb.Vars[g.n+k], vars)
 		if pragmas != nil && pragmas[k] != "" {
 			w.line("%s", pragmas[k])
 		}

@@ -104,8 +104,8 @@ func GenerateSequential(ts *tiling.TiledSpace, opts Options) (string, error) {
 		vars[n+k] = fmt.Sprintf("z%d", k)
 	}
 	for k := 0; k < 2*n; k++ {
-		lb := cLowerBound(ts.Combined.Vars[k], vars)
-		ub := cUpperBound(ts.Combined.Vars[k], vars)
+		lb := cLowerBound(&ts.Combined.Vars[k], vars)
+		ub := cUpperBound(&ts.Combined.Vars[k], vars)
 		w.open("for (long %s = %s; %s <= (%s); %s++)", vars[k], lb, vars[k], ub, vars[k])
 	}
 	w.line("long jS[NDIM], zv[NDIM], j[NDIM];")

@@ -327,20 +327,36 @@ func checkedNeg(a int64) int64 {
 }
 
 func checkedAdd(a, b int64) int64 {
-	s := a + b
-	if (a > 0 && b > 0 && s <= 0) || (a < 0 && b < 0 && s >= 0) {
+	s, ok := AddInt64(a, b)
+	if !ok {
 		panic(fmt.Sprintf("rat: int64 overflow in %d + %d", a, b))
 	}
 	return s
 }
 
 func checkedMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	p := a * b
-	if p/b != a || (a == math.MinInt64 && b == -1) {
+	p, ok := MulInt64(a, b)
+	if !ok {
 		panic(fmt.Sprintf("rat: int64 overflow in %d * %d", a, b))
 	}
 	return p
+}
+
+// AddInt64 returns a + b; ok is false when the sum overflows int64.
+func AddInt64(a, b int64) (s int64, ok bool) {
+	s = a + b
+	return s, (a^s)&(b^s) >= 0
+}
+
+// MulInt64 returns a * b; ok is false when the product overflows int64.
+// Operands that both fit in int32 take a division-free path.
+func MulInt64(a, b int64) (p int64, ok bool) {
+	p = a * b
+	if int64(int32(a)) == a && int64(int32(b)) == b {
+		return p, true
+	}
+	if a == 0 || b == 0 {
+		return 0, true
+	}
+	return p, p/b == a && !(a == math.MinInt64 && b == -1)
 }

@@ -399,3 +399,45 @@ func TestNegOverflowPanics(t *testing.T) {
 	}()
 	Rat{math.MinInt64, 1}.Neg()
 }
+
+// TestCheckedInt64Ops: AddInt64/MulInt64 report exactly the results that
+// do not fit in int64, on both sides of MulInt64's int32 fast path.
+func TestCheckedInt64Ops(t *testing.T) {
+	adds := []struct {
+		a, b int64
+		ok   bool
+	}{
+		{1, 2, true},
+		{math.MaxInt64, 0, true},
+		{math.MaxInt64, 1, false},
+		{math.MinInt64, -1, false},
+		{math.MinInt64, math.MaxInt64, true},
+		{-1 << 62, -1 << 62, true},
+		{1 << 62, 1 << 62, false},
+	}
+	for _, c := range adds {
+		if s, ok := AddInt64(c.a, c.b); ok != c.ok || (ok && s != c.a+c.b) {
+			t.Errorf("AddInt64(%d, %d) = %d, %v", c.a, c.b, s, ok)
+		}
+	}
+	muls := []struct {
+		a, b int64
+		ok   bool
+	}{
+		{0, math.MinInt64, true},
+		{math.MaxInt32, math.MinInt32, true},
+		{math.MinInt32, math.MinInt32, true},
+		{1 << 32, 1 << 30, true},
+		{1 << 32, 1 << 31, false},
+		{-1 << 32, 1 << 31, true},
+		{math.MinInt64, -1, false},
+		{-1, math.MinInt64, false},
+		{math.MinInt64, 1, true},
+		{3, 1 << 62, false},
+	}
+	for _, c := range muls {
+		if p, ok := MulInt64(c.a, c.b); ok != c.ok || (ok && p != c.a*c.b) {
+			t.Errorf("MulInt64(%d, %d) = %d, %v", c.a, c.b, p, ok)
+		}
+	}
+}

@@ -125,9 +125,11 @@ type Result struct {
 	Utilization float64
 }
 
+// msgKey identifies one message by its sending tile's index in the
+// tile-space bounding box and its direction's position in d.DM.
 type msgKey struct {
-	tile string
-	dm   string
+	tile int64
+	dm   int
 }
 
 // Simulate runs the tile schedule of a distribution under the cost model
@@ -184,6 +186,21 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 	})
 
 	res := &Result{Procs: d.NumProcs(), Tiles: int64(len(tiles))}
+	if len(tiles) == 0 {
+		return res, nil
+	}
+	box := ilin.NewBoxIndexer(d.TS.TileLo, d.TS.TileHi)
+	// dmPos[i] is the position of DmOf(DS[i]) in d.DM; -1 when it is zero.
+	dmPos := make([]int, len(d.TS.DS))
+	for i, dS := range d.TS.DS {
+		dmPos[i] = -1
+		dm := d.DmOf(dS)
+		for p, v := range d.DM {
+			if v.Equal(dm) {
+				dmPos[i] = p
+			}
+		}
+	}
 	procClock := make([]float64, d.NumProcs())
 	nicFree := make([]float64, d.NumProcs())
 	busy := make([]float64, d.NumProcs())
@@ -200,6 +217,10 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 			maxWave = tr.wave
 		}
 		tile := d.TileAt(tr.rank, tr.t)
+		ti, ok := box.Index(tile)
+		if !ok {
+			return nil, fmt.Errorf("simnet: tile %v outside the tile-space box", tile)
+		}
 		now := procClock[tr.rank]
 
 		// CRASH: the runtime kills the rank at the top of tile k's loop
@@ -225,14 +246,17 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 		// would cost: unpack and pack repeat, the wire and the MPI stack
 		// overheads do not (receives replay locally, delivered sends skip).
 		var redo float64
-		ev := Event{Rank: tr.rank, Tile: tile.String(), Start: now}
+		ev := Event{Rank: tr.rank, Start: now}
+		if onEvent != nil {
+			ev.Tile = tile.String()
+		}
 
 		// RECEIVE: wait for each due message, then pay unpack CPU.
-		for _, dS := range d.TS.DS {
-			dm := d.DmOf(dS)
-			if dm.IsZero() {
+		for i, dS := range d.TS.DS {
+			if dmPos[i] < 0 {
 				continue
 			}
+			dm := d.DM[dmPos[i]]
 			pred := tile.Sub(dS)
 			if !d.TS.ValidTile(pred) {
 				continue
@@ -240,11 +264,12 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 			if ms, ok := d.MinSucc(pred, dm); !ok || !ms.Equal(tile) {
 				continue
 			}
-			n := counts.region(pred, dm)
+			pi, _ := box.Index(pred)
+			key := msgKey{pi, dmPos[i]}
+			n := counts.region(pred, key)
 			if n == 0 {
 				continue
 			}
-			key := msgKey{pred.String(), dm.String()}
 			arr, ok := arrivals[key]
 			if !ok {
 				return nil, fmt.Errorf("simnet: message for tile %v from %v not yet sent — schedule order broken", tile, pred)
@@ -264,7 +289,7 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 		ev.RecvDone = now
 
 		// COMPUTE.
-		pts := counts.points(tile)
+		pts := counts.points(tile, ti)
 		res.Points += pts
 		comp := float64(pts) * par.IterTime
 		if fs != nil {
@@ -276,11 +301,12 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 		ev.CompDone = now
 
 		// SEND: one message per processor direction with a valid successor.
-		for _, dm := range d.DM {
+		for p, dm := range d.DM {
 			if !d.HasSuccessor(tile, dm) {
 				continue
 			}
-			n := counts.region(tile, dm)
+			key := msgKey{ti, p}
+			n := counts.region(tile, key)
 			if n == 0 {
 				continue
 			}
@@ -309,7 +335,7 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 				busy[tr.rank] += cpu
 				arrive = now + par.Latency
 			}
-			arrivals[msgKey{tile.String(), dm.String()}] = arrive
+			arrivals[key] = arrive
 			res.Messages++
 			res.BytesSent += int64(bytes)
 			redo += pack
@@ -354,55 +380,56 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 
 // countCache memoizes per-tile point counts and communication-region
 // sizes, with constant-time answers for tiles fully inside the space.
+// Tiles are keyed by their tile-space box index, directions by their
+// position in d.DM.
 type countCache struct {
 	d          *distrib.Distribution
-	full       map[string]bool
-	fullRegion map[string]int64
-	pts        map[string]int64
+	full       map[int64]bool
+	fullRegion map[int]int64
+	pts        map[int64]int64
 	regions    map[msgKey]int64
 }
 
 func newCountCache(d *distrib.Distribution) *countCache {
 	return &countCache{
-		d: d, full: map[string]bool{},
-		fullRegion: map[string]int64{}, pts: map[string]int64{}, regions: map[msgKey]int64{},
+		d: d, full: map[int64]bool{},
+		fullRegion: map[int]int64{}, pts: map[int64]int64{}, regions: map[msgKey]int64{},
 	}
 }
 
-func (c *countCache) fullInside(jS ilin.Vec) bool {
-	key := jS.String()
-	if v, ok := c.full[key]; ok {
+func (c *countCache) fullInside(jS ilin.Vec, ti int64) bool {
+	if v, ok := c.full[ti]; ok {
 		return v
 	}
 	v := c.d.TS.TileFullyInside(jS)
-	c.full[key] = v
+	c.full[ti] = v
 	return v
 }
 
-func (c *countCache) points(jS ilin.Vec) int64 {
-	if c.fullInside(jS) {
+func (c *countCache) points(jS ilin.Vec, ti int64) int64 {
+	if c.fullInside(jS, ti) {
 		return c.d.TS.T.TileSize
 	}
-	key := jS.String()
-	if v, ok := c.pts[key]; ok {
+	if v, ok := c.pts[ti]; ok {
 		return v
 	}
 	v := c.d.TS.CountTilePoints(jS, nil)
-	c.pts[key] = v
+	c.pts[ti] = v
 	return v
 }
 
-func (c *countCache) region(jS ilin.Vec, dm ilin.Vec) int64 {
-	if c.fullInside(jS) {
-		key := dm.String()
-		if v, ok := c.fullRegion[key]; ok {
+// region returns the size of tile jS's message along direction d.DM[k.dm];
+// k.tile is jS's box index.
+func (c *countCache) region(jS ilin.Vec, k msgKey) int64 {
+	dm := c.d.DM[k.dm]
+	if c.fullInside(jS, k.tile) {
+		if v, ok := c.fullRegion[k.dm]; ok {
 			return v
 		}
 		v := c.d.FullTileCommCount(dm)
-		c.fullRegion[key] = v
+		c.fullRegion[k.dm] = v
 		return v
 	}
-	k := msgKey{jS.String(), dm.String()}
 	if v, ok := c.regions[k]; ok {
 		return v
 	}

@@ -37,6 +37,18 @@ type TiledSpace struct {
 	MaxDP ilin.Vec
 	// CC is the communication vector: cc_k = v_kk − MaxDP[k].
 	CC ilin.Vec
+
+	// hoistOff[k] is where point level k's bounds start in CountTilePoints'
+	// hoisted-numerator buffer; hoistOff[n] is the buffer length.
+	hoistOff []int
+	// cornerMax holds one row per space constraint coef·x ≤ rhs:
+	// f(j^S) = Σ_j r_j·j^S_j + Σ_j max(r_j, 0) − rhs with r = coef·P, the
+	// maximum of coef·x − rhs over the tile cell's 2ⁿ vertices
+	// x = P·(j^S + ε), ε ∈ {0,1}ⁿ. The rows are stored as the lower
+	// bounds of a VarBounds so they compile to integers with the usual
+	// overflow fallback; the cell lies inside the space iff max ⌈f⌉ ≤ 0
+	// (⌈f⌉ ≤ 0 ⟺ f ≤ 0).
+	cornerMax poly.VarBounds
 }
 
 // Analyze validates that h legally tiles the nest and precomputes the
@@ -52,6 +64,9 @@ func Analyze(nest *loopnest.Nest, h *ilin.RatMat) (*TiledSpace, error) {
 	if !t.Legal(nest.Deps) {
 		return nil, ErrIllegalTransform()
 	}
+	// Every table is built here, never lazily: a TiledSpace is shared by
+	// concurrent readers (the service caches it) and stays immutable once
+	// Analyze returns.
 	ts := &TiledSpace{T: t, Nest: nest}
 
 	if err := ts.buildCombinedBounds(); err != nil {
@@ -92,14 +107,21 @@ func MustAnalyze(nest *loopnest.Nest, h *ilin.RatMat) *TiledSpace {
 func (ts *TiledSpace) buildCombinedBounds() error {
 	n := ts.T.N
 	sys := poly.NewSystem(2 * n)
+	corners := make([]poly.Affine, 0, len(ts.Nest.Space.Cons))
 	for _, c := range ts.Nest.Space.Cons {
 		row := make(ilin.RatVec, 2*n)
+		cmax := c.Rhs.Neg()
 		for j := 0; j < n; j++ {
 			row[j] = c.Coef.Dot(ts.T.P.Col(j).Rat())
 			row[n+j] = c.Coef.Dot(ts.T.U.Col(j).Rat())
+			if row[j].Sign() > 0 {
+				cmax = cmax.Add(row[j])
+			}
 		}
 		sys.Add(poly.Constraint{Coef: row, Rhs: c.Rhs})
+		corners = append(corners, poly.Affine{Coef: row[:n].Clone(), Const: cmax})
 	}
+	ts.cornerMax = poly.NewVarBounds(corners, nil)
 	for k := 0; k < n; k++ {
 		lo := make(ilin.RatVec, 2*n)
 		for i := range lo {
@@ -118,12 +140,16 @@ func (ts *TiledSpace) buildCombinedBounds() error {
 		return fmt.Errorf("tiling: combined bounds: %w", err)
 	}
 	ts.Combined = nb
+	ts.hoistOff = make([]int, n+1)
+	for k := 0; k < n; k++ {
+		ts.hoistOff[k+1] = ts.hoistOff[k] + nb.Vars[n+k].Rows()
+	}
 
-	lo, hi, err := poly.BoundingBox(sys)
+	lo, hi, err := poly.PrefixBoundingBox(sys, n)
 	if err != nil {
 		return fmt.Errorf("tiling: tile-space box: %w", err)
 	}
-	ts.TileLo, ts.TileHi = lo[:n], hi[:n]
+	ts.TileLo, ts.TileHi = lo, hi
 	return nil
 }
 
@@ -293,36 +319,15 @@ func (ts *TiledSpace) NumTiles() int64 {
 }
 
 // TileFullyInside reports whether the entire closed tile cell
-// {x : j^S ≤ H·x ≤ j^S + 1} lies inside the iteration space, by testing
-// its 2ⁿ vertices x = P·(j^S + ε), ε ∈ {0,1}ⁿ, against every constraint
-// (sufficient by convexity). A fully inside tile contains exactly TileSize
-// lattice points, so large simulations can skip per-point scans for
-// interior tiles.
+// {x : j^S ≤ H·x ≤ j^S + 1} lies inside the iteration space: whether every
+// vertex x = P·(j^S + ε), ε ∈ {0,1}ⁿ, satisfies every constraint
+// (sufficient by convexity). The per-constraint maximum over the vertices
+// is closed-form (cornerMax), so no vertex is enumerated. A fully inside
+// tile contains exactly TileSize lattice points, so large simulations can
+// skip per-point scans for interior tiles.
 func (ts *TiledSpace) TileFullyInside(jS ilin.Vec) bool {
-	n := ts.T.N
-	corner := make(ilin.RatVec, n)
-	for mask := 0; mask < 1<<n; mask++ {
-		for k := 0; k < n; k++ {
-			c := rat.FromInt(jS[k])
-			if mask&(1<<k) != 0 {
-				c = c.AddInt(1)
-			}
-			corner[k] = c
-		}
-		// x = P·corner (rational point).
-		for _, con := range ts.Nest.Space.Cons {
-			// coef·(P·corner) ≤ rhs
-			s := rat.Zero
-			for j := 0; j < n; j++ {
-				pj := con.Coef.Dot(ts.T.P.Col(j).Rat())
-				s = s.Add(pj.Mul(corner[j]))
-			}
-			if s.Cmp(con.Rhs) > 0 {
-				return false
-			}
-		}
-	}
-	return true
+	v, ok := ts.cornerMax.EvalLower(jS)
+	return !ok || v <= 0
 }
 
 // TilePointCountFast returns the tile's lattice point count, using the
@@ -338,40 +343,109 @@ func (ts *TiledSpace) TilePointCountFast(jS ilin.Vec) int64 {
 // coordinate satisfies j'_k ≥ minJP[k] for every k (pass nil for no
 // constraint). It recurses over the outer lattice dimensions and closes
 // the innermost level in O(1), so boundary tiles cost O(area) instead of
-// O(volume) — what makes paper-scale simulation sweeps affordable.
+// O(volume) — what makes paper-scale simulation sweeps affordable. The
+// j^S part of every point-level bound is hoisted once per call, and the
+// innermost bounds step along z_{n-2} without divisions.
 func (ts *TiledSpace) CountTilePoints(jS ilin.Vec, minJP ilin.Vec) int64 {
 	n := ts.T.N
-	x := make(ilin.Vec, 2*n)
-	copy(x, jS)
-	var rec func(k int) int64
-	rec = func(k int) int64 {
-		lo, okL := ts.Combined.Vars[n+k].EvalLower(x[:n+k])
-		hi, okU := ts.Combined.Vars[n+k].EvalUpper(x[:n+k])
-		if !okL || !okU {
-			panic("tiling: unbounded point loop")
-		}
-		var base int64
-		for l := 0; l < k; l++ {
-			base += ts.T.HT.At(k, l) * x[n+l]
-		}
-		if minJP != nil && minJP[k] > 0 {
-			// j'_k = base + c_k·z_k ≥ minJP[k]
-			if zlo := rat.CeilDiv(minJP[k]-base, ts.T.C[k]); zlo > lo {
-				lo = zlo
-			}
-		}
-		if hi < lo {
-			return 0
-		}
-		if k == n-1 {
-			return hi - lo + 1
-		}
-		var total int64
-		for zk := lo; zk <= hi; zk++ {
-			x[n+k] = zk
-			total += rec(k + 1)
-		}
-		return total
+	var buf [192]int64
+	need := 2*n + ts.hoistOff[n] + ts.Combined.Vars[2*n-1].WalkLen()
+	scratch := buf[:]
+	if need > len(buf) {
+		scratch = make([]int64, need)
 	}
-	return rec(0)
+	c := pointCounter{ts: ts, minJP: minJP, hoisted: true}
+	c.x = scratch[:2*n]
+	c.h = scratch[2*n : 2*n+ts.hoistOff[n]]
+	c.walk = scratch[2*n+ts.hoistOff[n] : need]
+	copy(c.x, jS)
+	for k := 0; k < n && c.hoisted; k++ {
+		c.hoisted = ts.Combined.Vars[n+k].Hoist(c.x, n, c.levelH(k))
+	}
+	return c.count(0)
+}
+
+// pointCounter is CountTilePoints' recursion state: x = (j^S, z), the
+// hoisted j^S numerators h of every point-level bound, and the innermost
+// level's walk state.
+type pointCounter struct {
+	ts         *TiledSpace
+	minJP      ilin.Vec
+	x, h, walk []int64
+	hoisted    bool // false: some bound overflowed Hoist; evaluate in full
+}
+
+// levelH returns point level k's slice of the hoisted numerators.
+func (c *pointCounter) levelH(k int) []int64 {
+	return c.h[c.ts.hoistOff[k]:c.ts.hoistOff[k+1]]
+}
+
+func (c *pointCounter) count(k int) int64 {
+	ts := c.ts
+	n := ts.T.N
+	vb := &ts.Combined.Vars[n+k]
+	x := c.x[:n+k]
+	var lo, hi int64
+	ok := c.hoisted
+	if ok {
+		lo, hi, ok = vb.EvalHoisted(c.levelH(k), x, n)
+	}
+	if !ok {
+		lo, _ = vb.EvalLower(x)
+		hi, _ = vb.EvalUpper(x)
+	}
+	lo = c.clampMin(k, lo)
+	if hi < lo {
+		return 0
+	}
+	if k == n-1 {
+		return hi - lo + 1
+	}
+	if k == n-2 && c.hoisted {
+		if total, ok := c.walkInnermost(lo, hi); ok {
+			return total
+		}
+	}
+	var total int64
+	for zk := lo; zk <= hi; zk++ {
+		c.x[n+k] = zk
+		total += c.count(k + 1)
+	}
+	return total
+}
+
+// walkInnermost counts the last two levels together: z_{n-2} runs over
+// [lo, hi] while the innermost bounds step along it (poly.StartWalk). ok
+// is false when the walk could overflow; count then recurses instead.
+func (c *pointCounter) walkInnermost(lo, hi int64) (int64, bool) {
+	n := c.ts.T.N
+	vb := &c.ts.Combined.Vars[2*n-1]
+	c.x[2*n-2] = lo
+	if !vb.StartWalk(c.levelH(n-1), c.x[:2*n-1], n, 2*n-2, hi-lo+1, c.walk) {
+		return 0, false
+	}
+	var total int64
+	for zk := lo; zk <= hi; zk++ {
+		c.x[2*n-2] = zk
+		ilo, ihi := vb.Next(c.walk)
+		if ilo = c.clampMin(n-1, ilo); ihi >= ilo {
+			total += ihi - ilo + 1
+		}
+	}
+	return total, true
+}
+
+// clampMin raises level k's lower bound lo so that
+// j'_k = Σ_{l<k} h̃'_kl·z_l + c_k·z_k ≥ minJP[k].
+func (c *pointCounter) clampMin(k int, lo int64) int64 {
+	if c.minJP == nil || c.minJP[k] <= 0 {
+		return lo
+	}
+	ts := c.ts
+	n := ts.T.N
+	var base int64
+	for l := 0; l < k; l++ {
+		base += ts.T.HT.At(k, l) * c.x[n+l]
+	}
+	return max(lo, rat.CeilDiv(c.minJP[k]-base, ts.T.C[k]))
 }

@@ -1,10 +1,13 @@
 package tiling
 
 import (
+	"math/rand"
 	"testing"
 
 	"tilespace/internal/ilin"
 	"tilespace/internal/loopnest"
+	"tilespace/internal/poly"
+	"tilespace/internal/rat"
 )
 
 func unitDeps2() *ilin.Mat {
@@ -289,5 +292,126 @@ func TestTileFullyInsideConsistent(t *testing.T) {
 	})
 	if full == 0 {
 		t.Error("expected some fully-inside tiles")
+	}
+}
+
+// TestRandomTilingsMatchBruteForce: random integral-P transforms over
+// random convex spaces. ScanTTIS must visit exactly TileSize points, and
+// TilePointCount, CountTilePoints (with and without a random minJP) and
+// TilePointCountFast must match brute-force counts on every tile. -short
+// keeps a seed-stable slice of the 300 trials.
+func TestRandomTilingsMatchBruteForce(t *testing.T) {
+	trials := 300
+	if testing.Short() {
+		trials = 20
+	}
+	rng := rand.New(rand.NewSource(12345))
+	for trial := 0; trial < trials; trial++ {
+		n := 2
+		// Random P with nonzero det, entries in [-3,4]
+		p := ilin.NewMat(n, n)
+		for {
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					p.Set(i, j, int64(rng.Intn(7)-3))
+				}
+			}
+			d := p.Det()
+			if d != 0 && d < 30 && d > -30 {
+				// ensure tile not too big
+				break
+			}
+		}
+		tr, err := FromP(p)
+		if err != nil {
+			continue
+		}
+		// ScanTTIS count vs TileSize and vs brute force over box
+		cnt := tr.ScanTTIS(func(z, jp ilin.Vec) bool { return true })
+		if cnt != tr.TileSize {
+			t.Fatalf("trial %d: ScanTTIS count %d != TileSize %d, P=%v", trial, cnt, tr.TileSize, p)
+		}
+		// brute force: count j in [-40,40]^2 with TileOf(j)==0
+		var brute int64
+		lim := int64(25)
+		for a := -lim; a <= lim; a++ {
+			for b := -lim; b <= lim; b++ {
+				if tr.TileOf(ilin.NewVec(a, b)).IsZero() {
+					brute++
+				}
+			}
+		}
+		if brute != tr.TileSize {
+			t.Logf("trial %d: brute TIS count %d != TileSize %d (maybe tile exceeds box), P=%v", trial, brute, tr.TileSize, p)
+		}
+
+		// random convex space: box plus a random halfplane
+		s := poly.NewSystem(n)
+		hi1 := int64(rng.Intn(12) + 3)
+		hi2 := int64(rng.Intn(12) + 3)
+		s.AddRange(0, 0, hi1)
+		s.AddRange(1, 0, hi2)
+		if rng.Intn(2) == 0 {
+			// i + j <= c
+			c := hi1 + int64(rng.Intn(int(hi2)))
+			s.Add(poly.Constraint{Coef: ilin.RatVec{rat.One, rat.One}, Rhs: rat.FromInt(c)})
+		}
+		// deps: need legal tiling; skip legality by using empty deps
+		nest, err := loopnest.New(nil, s, nil)
+		if err != nil {
+			continue
+		}
+		ts, err := Analyze(nest, tr.H)
+		if err != nil {
+			continue
+		}
+		// total points must equal nest size
+		sz, _ := nest.Size()
+		if tot := ts.TotalPoints(); tot != sz {
+			t.Fatalf("trial %d: TotalPoints %d != nest size %d\nP=%v", trial, tot, sz, p)
+		}
+		ts.ScanTiles(func(jS ilin.Vec) bool {
+			jS = jS.Clone()
+			// brute-force per-tile count by scanning the nest
+			nb, _ := nest.Bounds()
+			var want int64
+			nb.Scan(func(x ilin.Vec) bool {
+				if tr.TileOf(x).Equal(jS) {
+					want++
+				}
+				return true
+			})
+			if got := ts.TilePointCount(jS); got != want {
+				t.Fatalf("trial %d tile %v: TilePointCount %d != brute %d, P=%v", trial, jS, got, want, p)
+			}
+			if got := ts.CountTilePoints(jS, nil); got != want {
+				t.Fatalf("trial %d tile %v: CountTilePoints %d != brute %d, P=%v", trial, jS, got, want, p)
+			}
+			if got := ts.TilePointCountFast(jS); got != want {
+				t.Fatalf("trial %d tile %v: TilePointCountFast %d != brute %d (fullyInside=%v), P=%v", trial, jS, got, want, ts.TileFullyInside(jS), p)
+			}
+			// random minJP
+			minJP := make(ilin.Vec, n)
+			for k := 0; k < n; k++ {
+				minJP[k] = int64(rng.Intn(int(tr.V[k]) + 1))
+			}
+			var wantM int64
+			ts.ScanTilePoints(jS, func(z, jp ilin.Vec) bool {
+				ok := true
+				for k := 0; k < n; k++ {
+					if jp[k] < minJP[k] {
+						ok = false
+					}
+				}
+				if ok {
+					wantM++
+				}
+				return true
+			})
+			if got := ts.CountTilePoints(jS, minJP); got != wantM {
+				t.Fatalf("trial %d tile %v minJP %v: CountTilePoints %d != brute %d, P=%v", trial, jS, minJP, got, wantM, p)
+			}
+			return true
+		})
 	}
 }
